@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use streammeta_analyze::tracelint;
 use streammeta_core::{
-    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId,
+    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId,
     NodeRegistry, PropagationMode, RotatingFileSink, Subscription,
 };
 use streammeta_time::{TimeSpan, VirtualClock};
@@ -196,11 +196,11 @@ fn main() {
             max_delay: TimeSpan(u64::MAX),
         }));
         drive(&manager, &state, updates / 8, true);
-        let epochs_before = manager.epoch_count();
-        let coalesced_before = manager.coalesced_update_count();
+        let epochs_before = manager.metric(Metric::Epochs).unwrap();
+        let coalesced_before = manager.metric(Metric::CoalescedUpdates).unwrap();
         let epoch = drive(&manager, &state, updates, true);
-        let epochs = manager.epoch_count() - epochs_before;
-        let coalesced = manager.coalesced_update_count() - coalesced_before;
+        let epochs = manager.metric(Metric::Epochs).unwrap() - epochs_before;
+        let coalesced = manager.metric(Metric::CoalescedUpdates).unwrap() - coalesced_before;
 
         let speedup = epoch.updates_per_sec / per_event.updates_per_sec.max(1e-9);
         println!(

@@ -100,10 +100,8 @@ pub use item::{
     HookFn, ItemDef, ItemDefBuilder, Mechanism, ResolveCtx, ResolvedDep,
 };
 pub use key::{EventKey, ItemPath, MetadataKey, NodeId};
-pub use manager::{
-    EpochConfig, ManagerStats, MetadataManager, PropagationMode, ValidationPolicy, ValidatorFn,
-};
-pub use meta::META_NODE;
+pub use manager::{EpochConfig, MetadataManager, PropagationMode, ValidationPolicy, ValidatorFn};
+pub use meta::{ManagerStats, Metric, MetricDef, MetricKind, META_NODE, METRICS};
 pub use monitor::{Counter, Gauge};
 pub use partition::{PartitionedMetadataPlane, PlaneConfig};
 pub use registry::{MetadataModule, NodeRegistry, RegistryScope};

@@ -43,7 +43,7 @@ use streammeta_time::{ClockRef, PeriodicRegistry, PeriodicTask, TimeSpan, Timest
 use crate::fault::{FaultAction, FaultPlan};
 use crate::handler::{Handler, HandlerStats};
 use crate::item::{DepReader, DepSource, EvalCtx, ItemDef, Mechanism};
-use crate::monitor::Counter;
+use crate::meta::{Metric, METRICS};
 use crate::registry::NodeRegistry;
 use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
@@ -153,48 +153,6 @@ impl SpanLink {
     }
 }
 
-/// Aggregate counters of the manager, used by the scalability experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ManagerStats {
-    /// Live handlers (included metadata items).
-    pub handlers: usize,
-    /// Sum of all subscription counts.
-    pub subscriptions: usize,
-    /// Total compute-function evaluations.
-    pub computes: u64,
-    /// Total stored value changes.
-    pub updates: u64,
-    /// Total consumer accesses.
-    pub accesses: u64,
-    /// Total trigger propagation rounds.
-    pub propagations: u64,
-    /// Compute functions that panicked (contained; the item reported
-    /// `Unavailable` for that evaluation).
-    pub compute_failures: u64,
-    /// Periodic refreshes that completed a full window after their
-    /// scheduled boundary.
-    pub deadline_misses: u64,
-    /// Reads served through a cached subscription handler (no manager
-    /// lock of any kind).
-    pub fast_reads: u64,
-    /// Key-based handler lookups served by the sharded index (one shard
-    /// read lock).
-    pub shard_reads: u64,
-    /// Evaluations that overran their declared compute deadline.
-    pub deadline_overruns: u64,
-    /// Backoff retries scheduled after failed evaluations.
-    pub retries: u64,
-    /// Times the quarantine circuit breaker tripped.
-    pub quarantine_trips: u64,
-    /// Reads that were served a degraded (stale last-good) value.
-    pub stale_serves: u64,
-    /// Epoch flushes performed in epoch propagation mode.
-    pub epochs: u64,
-    /// Source updates absorbed into an already-pending epoch entry
-    /// (duplicate origins coalesced away before the sweep).
-    pub coalesced_updates: u64,
-}
-
 /// The central coordinator of dynamic metadata management.
 ///
 /// Always used through `Arc`: subscriptions and periodic tasks hold
@@ -209,28 +167,19 @@ pub struct MetadataManager {
     /// Hash-partitioned `key -> handler` mirror of `inner.handlers`,
     /// written under the bookkeeping mutex, read without it.
     shards: HandlerShards,
+    /// One relaxed counter per [`METRICS`] row, indexed by [`Metric`];
+    /// only the `Slot` rows use theirs (see [`Self::slot`]).
+    metrics: [AtomicU64; METRICS.len()],
     /// Access counts of handlers that have been excluded, folded in on
     /// removal so totals survive handler death. Together with the live
     /// handlers' counters this yields the access total; the cached-read
     /// count is derived as `total - key-based` so the subscription fast
     /// path pays exactly one counter increment.
     retired_accesses: AtomicU64,
-    shard_reads: AtomicU64,
-    /// Always-on counter (not a plain atomic) so the reflexive meta node
-    /// can derive `meta.computes_rate` from it via a `WindowDelta`.
-    computes: Arc<Counter>,
-    updates: AtomicU64,
     /// Key-based accesses only; cached-subscription reads count on their
     /// handler alone (one atomic less on the hot path) and totals are
     /// derived where reported.
-    accesses: AtomicU64,
-    propagations: AtomicU64,
-    compute_failures: AtomicU64,
-    deadline_misses: AtomicU64,
-    deadline_overruns: AtomicU64,
-    retries: AtomicU64,
-    quarantine_trips: AtomicU64,
-    stale_serves: AtomicU64,
+    key_accesses: AtomicU64,
     /// Gates fault injection the same way `trace_enabled` gates tracing:
     /// one relaxed load per evaluation when no plan is installed.
     fault_enabled: AtomicBool,
@@ -256,8 +205,6 @@ pub struct MetadataManager {
     /// a running sweep. Tier: [`LockTier::FlushSerial`], rank 0 — the
     /// full declared hierarchy lives in [`crate::sync`].
     flush_serial: TieredMutex<()>,
-    epochs: AtomicU64,
-    coalesced_updates: AtomicU64,
     /// Trace bus: a single relaxed load gates every emission site, so an
     /// uninstalled sink costs (close to) nothing on the hot paths.
     trace_enabled: AtomicBool,
@@ -306,11 +253,6 @@ pub struct MetadataManager {
     /// multi-partition traces stay per-item monotonic because tracelint
     /// keys item state by `(partition, key)`.
     trace_part: AtomicU64,
-    /// Live cross-partition subscription links whose proxy item lives in
-    /// this manager.
-    remote_subs: AtomicU64,
-    /// Cross-partition update messages applied to local proxy items.
-    remote_updates: AtomicU64,
     /// Rows provider for the plane-level catalog relations
     /// (`sys.partitions`, `sys.remote_subscriptions`), installed on every
     /// partition by the plane; empty relations without one.
@@ -361,26 +303,15 @@ impl MetadataManager {
             registries: TieredRwLock::new(LockTier::Graph, HashMap::new()),
             inner: TieredMutex::new(LockTier::Bookkeeping, Inner::default()),
             shards: HandlerShards::new(),
+            metrics: [const { AtomicU64::new(0) }; METRICS.len()],
             retired_accesses: AtomicU64::new(0),
-            shard_reads: AtomicU64::new(0),
-            computes: Counter::always_on(),
-            updates: AtomicU64::new(0),
-            accesses: AtomicU64::new(0),
-            propagations: AtomicU64::new(0),
-            compute_failures: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            deadline_overruns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            quarantine_trips: AtomicU64::new(0),
-            stale_serves: AtomicU64::new(0),
+            key_accesses: AtomicU64::new(0),
             fault_enabled: AtomicBool::new(false),
             fault_plan: RwLock::new(None),
             last_propagation_depth: AtomicU64::new(0),
             epoch_enabled: AtomicBool::new(false),
             epoch_queue: TieredMutex::new(LockTier::EpochQueue, EpochQueue::default()),
             flush_serial: TieredMutex::new(LockTier::FlushSerial, ()),
-            epochs: AtomicU64::new(0),
-            coalesced_updates: AtomicU64::new(0),
             trace_enabled: AtomicBool::new(false),
             trace_sink: RwLock::new(None),
             trace_seq: AtomicU64::new(0),
@@ -398,8 +329,6 @@ impl MetadataManager {
             tid_map: Mutex::new(HashMap::new()),
             tid_labels: Mutex::new(BTreeMap::new()),
             trace_part: AtomicU64::new(u64::MAX),
-            remote_subs: AtomicU64::new(0),
-            remote_updates: AtomicU64::new(0),
             plane_rows: RwLock::new(None),
             self_weak: weak.clone(),
         })
@@ -527,12 +456,6 @@ impl MetadataManager {
     /// and [`HandlerStats`] report p50/p95/p99.
     pub fn set_latency_profiling(&self, on: bool) {
         self.profile_latency.store(on, Ordering::Relaxed);
-    }
-
-    /// The always-on counter of compute evaluations (feeds the meta
-    /// node's `meta.computes_rate`).
-    pub(crate) fn computes_counter(&self) -> &Arc<Counter> {
-        &self.computes
     }
 
     /// Installs a bounded ring-buffer trace sink of `capacity` records
@@ -712,54 +635,36 @@ impl MetadataManager {
         }
     }
 
-    /// Periodic refreshes that completed a full window late.
-    pub fn deadline_miss_count(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
+    /// The relaxed counter behind a `Slot` row of [`METRICS`].
+    #[inline]
+    pub(crate) fn slot(&self, metric: Metric) -> &AtomicU64 {
+        &self.metrics[metric as usize]
     }
 
-    /// Evaluations that overran their declared compute deadline.
-    pub fn deadline_overrun_count(&self) -> u64 {
-        self.deadline_overruns.load(Ordering::Relaxed)
-    }
-
-    /// Backoff retries scheduled after failed evaluations.
-    pub fn retry_count(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Times the quarantine circuit breaker tripped (re-trips after a
-    /// failed recovery probe count again).
-    pub fn quarantine_trip_count(&self) -> u64 {
-        self.quarantine_trips.load(Ordering::Relaxed)
-    }
-
-    /// Reads that were served a degraded (stale last-good) value.
-    pub fn stale_serve_count(&self) -> u64 {
-        self.stale_serves.load(Ordering::Relaxed)
-    }
-
-    /// Live cross-partition subscription links whose proxy item lives in
-    /// this manager (0 outside a partitioned plane).
-    pub fn remote_subscription_count(&self) -> u64 {
-        self.remote_subs.load(Ordering::Relaxed)
+    /// Counts one event on a `Slot` row: one relaxed `fetch_add`.
+    /// Returns the previous count.
+    #[inline]
+    fn bump(&self, metric: Metric) -> u64 {
+        self.slot(metric).fetch_add(1, Ordering::Relaxed)
     }
 
     /// Cross-partition update messages applied to local proxy items.
     pub fn remote_update_count(&self) -> u64 {
-        self.remote_updates.load(Ordering::Relaxed)
+        self.slot(Metric::RemoteUpdates).load(Ordering::Relaxed)
     }
 
     pub(crate) fn note_remote_link(&self, delta: i64) {
         if delta >= 0 {
-            self.remote_subs.fetch_add(delta as u64, Ordering::Relaxed);
+            self.slot(Metric::RemoteSubscriptions)
+                .fetch_add(delta as u64, Ordering::Relaxed);
         } else {
-            self.remote_subs
+            self.slot(Metric::RemoteSubscriptions)
                 .fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
         }
     }
 
     pub(crate) fn note_remote_update(&self) {
-        self.remote_updates.fetch_add(1, Ordering::Relaxed);
+        self.bump(Metric::RemoteUpdates);
     }
 
     /// Installs (or clears) the plane-level catalog rows provider.
@@ -1360,7 +1265,7 @@ impl MetadataManager {
     /// Resolves a handler through the sharded index — one shard read
     /// lock, never the bookkeeping mutex.
     fn handler(&self, key: &MetadataKey) -> Option<Arc<Handler>> {
-        self.shard_reads.fetch_add(1, Ordering::Relaxed);
+        self.bump(Metric::ShardReads);
         self.shards.get(key)
     }
 
@@ -1369,7 +1274,7 @@ impl MetadataManager {
     /// the compute mutex for on-demand items).
     pub(crate) fn read_cached(&self, handler: &Arc<Handler>) -> VersionedValue {
         // One relaxed increment — the manager-level cached-read count is
-        // derived in `fast_read_count` rather than maintained here.
+        // derived in `fast_read_total` rather than maintained here.
         handler.record_access();
         self.access_handler(handler)
     }
@@ -1386,7 +1291,7 @@ impl MetadataManager {
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
         handler.record_access();
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.key_accesses.fetch_add(1, Ordering::Relaxed);
         Ok(self.access_handler(&handler))
     }
 
@@ -1401,7 +1306,7 @@ impl MetadataManager {
             .handler(key)
             .ok_or_else(|| MetadataError::NotIncluded(key.clone()))?;
         handler.record_access();
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.key_accesses.fetch_add(1, Ordering::Relaxed);
         if self.is_quarantined(&handler) {
             return Err(MetadataError::Quarantined(key.clone()));
         }
@@ -1432,14 +1337,14 @@ impl MetadataManager {
         }
         let snapshot = handler.snapshot();
         if snapshot.degraded {
-            self.stale_serves.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::StaleServes);
         }
         snapshot
     }
 
     /// Whether `key` currently has a handler. One shard read lock.
     pub fn is_included(&self, key: &MetadataKey) -> bool {
-        self.shard_reads.fetch_add(1, Ordering::Relaxed);
+        self.bump(Metric::ShardReads);
         self.shards.contains(key)
     }
 
@@ -1483,51 +1388,40 @@ impl MetadataManager {
         self.handler(key).map(|h| h.mechanism())
     }
 
-    /// Aggregate statistics.
-    pub fn stats(&self) -> ManagerStats {
+    /// Sum of all subscription counts.
+    pub(crate) fn subscription_total(&self) -> u64 {
         let inner = self.inner.lock();
-        let total_accesses = self.retired_accesses.load(Ordering::Relaxed)
+        inner
+            .handlers
+            .values()
+            .map(|h| h.subscriptions.load(Ordering::Relaxed) as u64)
+            .sum()
+    }
+
+    /// Consumer accesses, key-based and cached: the live handlers'
+    /// counts plus those folded in from excluded handlers.
+    pub(crate) fn access_total(&self) -> u64 {
+        let inner = self.inner.lock();
+        self.retired_accesses.load(Ordering::Relaxed)
             + inner
                 .handlers
                 .values()
                 .map(|h| h.access_count())
-                .sum::<u64>();
-        let key_accesses = self.accesses.load(Ordering::Relaxed);
-        ManagerStats {
-            handlers: inner.handlers.len(),
-            subscriptions: inner
-                .handlers
-                .values()
-                .map(|h| h.subscriptions.load(Ordering::Relaxed))
-                .sum(),
-            computes: self.computes.value(),
-            updates: self.updates.load(Ordering::Relaxed),
-            accesses: total_accesses,
-            propagations: self.propagations.load(Ordering::Relaxed),
-            compute_failures: self.compute_failures.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            fast_reads: total_accesses.saturating_sub(key_accesses),
-            shard_reads: self.shard_reads.load(Ordering::Relaxed),
-            deadline_overruns: self.deadline_overruns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantine_trips: self.quarantine_trips.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
-            coalesced_updates: self.coalesced_updates.load(Ordering::Relaxed),
-        }
+                .sum::<u64>()
     }
 
-    /// Reads served through cached subscription handlers (no manager
-    /// lock at all). Derived — per-handler access counts minus the
-    /// key-based reads — so the fast path itself maintains no
+    /// Reads served through cached subscription handlers. Derived — all
+    /// accesses minus the key-based ones (loaded first, so the total
+    /// already holds them) — so the fast path itself maintains no
     /// manager-level counter.
-    pub fn fast_read_count(&self) -> u64 {
-        self.stats().fast_reads
+    pub(crate) fn fast_read_total(&self) -> u64 {
+        let key_accesses = self.key_accesses.load(Ordering::Relaxed);
+        self.access_total().saturating_sub(key_accesses)
     }
 
     /// Key-based handler lookups served by the sharded index.
     pub fn shard_read_count(&self) -> u64 {
-        self.shard_reads.load(Ordering::Relaxed)
+        self.slot(Metric::ShardReads).load(Ordering::Relaxed)
     }
 
     /// Number of partitions of the sharded handler index.
@@ -1625,7 +1519,7 @@ impl MetadataManager {
         span: Option<&SpanContext>,
     ) -> ComputeOutcome {
         handler.record_compute();
-        self.computes.record();
+        self.bump(Metric::Computes);
         let fault = if self.fault_enabled.load(Ordering::Relaxed) {
             let plan = self.fault_plan.read().clone();
             plan.and_then(|p| p.decide(&handler.key).map(|a| (p, a)))
@@ -1665,7 +1559,7 @@ impl MetadataManager {
             (Some(budget), Some(t0)) => {
                 let elapsed = self.clock.now().since(t0);
                 if elapsed > budget {
-                    self.deadline_overruns.fetch_add(1, Ordering::Relaxed);
+                    self.bump(Metric::DeadlineOverruns);
                     self.trace_span(span, || TraceEvent::DeadlineExceeded {
                         key: handler.key.clone(),
                         budget,
@@ -1685,7 +1579,7 @@ impl MetadataManager {
                 overran,
             },
             Err(_) => {
-                self.compute_failures.fetch_add(1, Ordering::Relaxed);
+                self.bump(Metric::ComputeFailures);
                 self.trace_span(span, || TraceEvent::ComputeFailed {
                     key: handler.key.clone(),
                 });
@@ -1775,7 +1669,7 @@ impl MetadataManager {
                     .register_once(until, Arc::new(task) as Arc<dyn PeriodicTask>),
             );
             drop(st);
-            self.quarantine_trips.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::QuarantineTrips);
             self.trace_span(span, || TraceEvent::QuarantineTripped {
                 key: handler.key.clone(),
                 until,
@@ -1795,7 +1689,7 @@ impl MetadataManager {
                 Arc::new(task) as Arc<dyn PeriodicTask>,
             ));
             drop(st);
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::Retries);
             self.trace_span(span, || TraceEvent::RetryScheduled {
                 key: handler.key.clone(),
                 attempt,
@@ -1858,7 +1752,7 @@ impl MetadataManager {
             self.record_span(ctx, Some(key), "retry", self.clock.now());
         }
         if changed {
-            self.updates.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::Updates);
             self.propagate_rooted(
                 DepSource::Item(key.clone()),
                 now,
@@ -1886,7 +1780,7 @@ impl MetadataManager {
             self.record_span(ctx, Some(key), "probe", self.clock.now());
         }
         if changed {
-            self.updates.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::Updates);
             self.propagate_rooted(
                 DepSource::Item(key.clone()),
                 now,
@@ -1914,7 +1808,7 @@ impl MetadataManager {
             let _guard = handler.compute_lock.lock();
             let changed = self.refresh_handler(&handler, Some(window), boundary, root.as_ref());
             if changed {
-                self.updates.fetch_add(1, Ordering::Relaxed);
+                self.bump(Metric::Updates);
             }
             changed
         };
@@ -1925,7 +1819,7 @@ impl MetadataManager {
         let fired_at = self.clock.now();
         let missed = fired_at.since(boundary) >= window;
         if missed {
-            self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            self.bump(Metric::DeadlineMisses);
         }
         if let Some(root) = &root {
             self.record_span(root, Some(key), "periodic_fired", fired_at);
@@ -2015,16 +1909,6 @@ impl MetadataManager {
         }
     }
 
-    /// Epoch flushes performed so far (0 in per-event mode).
-    pub fn epoch_count(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Source updates absorbed into an already-pending epoch entry.
-    pub fn coalesced_update_count(&self) -> u64 {
-        self.coalesced_updates.load(Ordering::Relaxed)
-    }
-
     /// Distinct source updates currently queued for the next epoch.
     pub fn pending_update_count(&self) -> usize {
         self.epoch_queue.lock().pending.len()
@@ -2065,7 +1949,7 @@ impl MetadataManager {
                     q.first_enqueued = Some(now);
                 }
             } else {
-                self.coalesced_updates.fetch_add(1, Ordering::Relaxed);
+                self.bump(Metric::CoalescedUpdates);
             }
             if let Some(link) = link {
                 match q.pending_roots.get_mut(&origin) {
@@ -2109,7 +1993,7 @@ impl MetadataManager {
                 std::mem::take(&mut q.pending_roots),
             )
         };
-        let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+        let epoch = self.bump(Metric::Epochs) + 1;
         let swept = origins.len();
         // When any contributing update was sampled, the flush itself gets
         // a parentless span rooted in the *union* of every pending
@@ -2199,7 +2083,10 @@ impl MetadataManager {
         epoch: Option<u64>,
         seeds: Option<HashMap<DepSource, SpanLink>>,
     ) -> SweepStats {
-        let round = self.propagations.fetch_add(1, Ordering::Relaxed) + 1;
+        let round = self
+            .slot(Metric::Propagations)
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
         // Phase 1: snapshot the affected subgraph under one bookkeeping
         // lock, remembering each item's BFS distance from the nearest
         // origin for the trace.
@@ -2305,7 +2192,7 @@ impl MetadataManager {
                 handler.note_epoch(epoch);
             }
             if stored {
-                self.updates.fetch_add(1, Ordering::Relaxed);
+                self.bump(Metric::Updates);
                 changed.insert(DepSource::Item(handler.key.clone()));
                 if let Some(ctx) = &ctx {
                     lineage.insert(DepSource::Item(handler.key.clone()), SpanLink::of(ctx));

@@ -3,181 +3,226 @@
 //!
 //! The paper motivates runtime metadata with "analysis gives insight into
 //! system behavior" — and the metadata framework itself is a system worth
-//! observing. [`MetadataManager::install_meta_node`] attaches a synthetic
-//! node ([`META_NODE`]) whose items describe the manager: handler counts,
-//! compute/update/access totals, the compute rate over a window, trigger
-//! propagation depth, deadline misses, contained compute failures, and the
-//! failure-containment state (retries, quarantined items, stale serves).
-//! Consumers — a profiler's `Recorder`, a load shedder, an optimizer —
-//! subscribe to them through the normal pub-sub API, with the usual
-//! tailored-provision guarantee: nothing is maintained until subscribed.
+//! observing. [`METRICS`] is the one declaration of the manager's
+//! metrics: each row names a metric, documents it, gives its kind and
+//! says how its value is read. Every view of them is derived from that
+//! table: [`MetadataManager::install_meta_node`] attaches a synthetic
+//! node ([`META_NODE`]) with one `meta.<name>` item per row,
+//! [`ManagerStats`] carries the rows marked `stats`, and the profiler's
+//! Prometheus exposition renders every row. Consumers — a profiler's
+//! `Recorder`, a load shedder, an optimizer — subscribe to the items
+//! through the normal pub-sub API, with the usual tailored-provision
+//! guarantee: nothing is maintained until subscribed.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use streammeta_time::TimeSpan;
 
-use crate::estimators::WindowDelta;
 use crate::item::ItemDef;
 use crate::manager::MetadataManager;
 use crate::registry::NodeRegistry;
 use crate::{MetadataValue, NodeId};
+use MetricSource::{Derived, Slot};
 
 /// The synthetic query-graph node owning the manager's self-describing
 /// metadata items. Reserved; real graph nodes must not use this id.
 pub const META_NODE: NodeId = NodeId(u32::MAX);
 
+/// Whether a metric only grows or moves both ways.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotonic total.
+    Counter,
+    /// A current level.
+    Gauge,
+}
+
+impl MetricKind {
+    /// The Prometheus `# TYPE` keyword of the kind.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// How a metric's value is read.
+#[derive(Clone, Copy)]
+enum MetricSource {
+    /// The metric's relaxed `AtomicU64` slot in the manager.
+    Slot,
+    /// A read of other state; `None` means `Unavailable`.
+    Derived(fn(&MetadataManager) -> Option<u64>),
+}
+
+/// One row of [`METRICS`].
+pub struct MetricDef {
+    /// The metric this row declares.
+    pub metric: Metric,
+    /// Bare name: the [`ManagerStats`] field and the suffix of the item
+    /// and Prometheus names.
+    pub name: &'static str,
+    /// The [`META_NODE`] item, `meta.<name>`.
+    pub item: &'static str,
+    /// One-line description (the item's doc).
+    pub doc: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    source: MetricSource,
+}
+
+impl MetricDef {
+    /// The current value; `None` while the metric is unavailable. Slot
+    /// rows take no lock.
+    pub fn read(&self, mgr: &MetadataManager) -> Option<u64> {
+        match self.source {
+            Slot => Some(mgr.slot(self.metric).load(Ordering::Relaxed)),
+            Derived(read) => read(mgr),
+        }
+    }
+}
+
+impl Metric {
+    /// The metric's row in [`METRICS`].
+    pub fn def(self) -> &'static MetricDef {
+        &METRICS[self as usize]
+    }
+}
+
+/// Declares the [`Metric`] enum, the [`METRICS`] table, [`ManagerStats`]
+/// and [`MetadataManager::stats`] from one list of rows:
+/// `Variant name: Kind, source, "doc" [, stats type];`.
+macro_rules! metrics {
+    ($($variant:ident $name:ident: $kind:ident, $source:expr, $doc:literal
+        $(, stats $ty:ty)?;)*) => {
+        /// A manager metric; names its row in [`METRICS`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Metric {
+            $(#[doc = $doc] $variant,)*
+        }
+
+        /// Every manager metric, in declaration order.
+        pub static METRICS: [MetricDef; [$(Metric::$variant),*].len()] = [$(MetricDef {
+            metric: Metric::$variant,
+            name: stringify!($name),
+            item: concat!("meta.", stringify!($name)),
+            doc: $doc,
+            kind: MetricKind::$kind,
+            source: $source,
+        }),*];
+
+        /// Aggregate counters of the manager: the [`METRICS`] rows used
+        /// by the scalability experiments.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ManagerStats {
+            $($(#[doc = $doc] pub $name: $ty,)?)*
+        }
+
+        impl MetadataManager {
+            /// Aggregate statistics (each field one [`METRICS`] read).
+            pub fn stats(&self) -> ManagerStats {
+                ManagerStats {
+                    $($($name: self.metric(Metric::$variant).unwrap_or_default() as $ty,)?)*
+                }
+            }
+        }
+    };
+}
+
+metrics! {
+    Handlers handlers: Gauge, Derived(|m| Some(m.handler_count() as u64)),
+        "live metadata handlers", stats usize;
+    Subscriptions subscriptions: Gauge, Derived(|m| Some(m.subscription_total())),
+        "sum of all subscription counts", stats usize;
+    Computes computes: Counter, Slot, "total compute-function evaluations", stats u64;
+    Updates updates: Counter, Slot, "total stored value changes", stats u64;
+    Accesses accesses: Counter, Derived(|m| Some(m.access_total())),
+        "total consumer accesses", stats u64;
+    Propagations propagations: Counter, Slot, "total trigger-propagation rounds", stats u64;
+    PropagationDepth propagation_depth: Gauge, Derived(|m| Some(m.last_propagation_depth())),
+        "high-water BFS depth of recent propagation rounds";
+    ComputeFailures compute_failures: Counter, Slot,
+        "contained compute-function panics", stats u64;
+    DeadlineMisses deadline_misses: Counter, Slot,
+        "periodic refreshes that ran a full window late", stats u64;
+    FastReads fast_reads: Counter, Derived(|m| Some(m.fast_read_total())),
+        "reads served through cached subscription handlers (no manager lock)", stats u64;
+    ShardReads shard_reads: Counter, Slot,
+        "key-based handler lookups served by the sharded index", stats u64;
+    DeadlineOverruns deadline_overruns: Counter, Slot,
+        "evaluations that overran their declared compute deadline", stats u64;
+    Retries retries: Counter, Slot,
+        "backoff retries scheduled after failed evaluations", stats u64;
+    QuarantineTrips quarantine_trips: Counter, Slot,
+        "times the quarantine circuit breaker tripped", stats u64;
+    Quarantined quarantined: Gauge, Derived(|m| Some(m.quarantined_count() as u64)),
+        "currently quarantined metadata items";
+    StaleServes stale_serves: Counter, Slot,
+        "reads served a degraded (stale last-good) value", stats u64;
+    Epochs epochs: Counter, Slot,
+        "epoch flushes performed in epoch propagation mode", stats u64;
+    CoalescedUpdates coalesced_updates: Counter, Slot,
+        "source updates coalesced into an already-pending epoch", stats u64;
+    // Ring evictions lose records; file rotations only retire them to
+    // the rotated file, so the two are counted apart.
+    TraceDropped trace_dropped: Counter, Derived(|m| m.catalog_trace().map(|t| t.dropped())),
+        "records evicted from the catalog trace ring buffer";
+    TraceRotated trace_rotated: Counter, Derived(|m| m.file_trace().map(|t| t.rotations())),
+        "size-limit rotations of the registered trace file sink";
+    SpansDropped spans_dropped: Counter, Derived(|m| m.catalog_spans().map(|s| s.dropped())),
+        "finished spans evicted from the sys.spans ring";
+    RemoteSubscriptions remote_subscriptions: Gauge, Slot,
+        "live cross-partition proxy links homed on this partition";
+    RemoteUpdates remote_updates: Counter, Slot,
+        "cross-partition update messages applied to local proxies";
+}
+
 impl MetadataManager {
+    /// The current value of `metric`; `None` while it is unavailable.
+    pub fn metric(&self, metric: Metric) -> Option<u64> {
+        metric.def().read(self)
+    }
+
     /// Attaches the reflexive meta node and returns its registry.
     ///
-    /// All items are on-demand snapshots of manager counters except
-    /// `meta.computes_rate`, a periodic rate (computes per time unit) over
-    /// `rate_window`. Installation defines items only — no handler exists
-    /// and nothing is computed until something subscribes.
+    /// Every [`METRICS`] row becomes an on-demand `meta.<name>` item
+    /// reading the row; `meta.computes_rate` adds a periodic rate
+    /// (computes per time unit) over `rate_window`. Installation defines
+    /// items only — no handler exists and nothing is computed until
+    /// something subscribes.
     pub fn install_meta_node(self: &Arc<Self>, rate_window: TimeSpan) -> Arc<NodeRegistry> {
         let reg = NodeRegistry::new(META_NODE);
-        let stat = |name: &str, doc: &str, read: fn(&MetadataManager) -> MetadataValue| {
+        for def in &METRICS {
             let weak = self.weak_self();
-            ItemDef::on_demand(name)
-                .doc(doc)
-                .compute(move |_ctx| match weak.upgrade() {
-                    Some(mgr) => read(&mgr),
-                    None => MetadataValue::Unavailable,
-                })
-                .build()
-        };
-        reg.define(stat("meta.handlers", "live metadata handlers", |m| {
-            MetadataValue::U64(m.handler_count() as u64)
-        }));
-        reg.define(stat(
-            "meta.subscriptions",
-            "sum of all subscription counts",
-            |m| MetadataValue::U64(m.stats().subscriptions as u64),
-        ));
-        reg.define(stat(
-            "meta.computes",
-            "total compute-function evaluations",
-            |m| MetadataValue::U64(m.stats().computes),
-        ));
-        reg.define(stat("meta.updates", "total stored value changes", |m| {
-            MetadataValue::U64(m.stats().updates)
-        }));
-        reg.define(stat("meta.accesses", "total consumer accesses", |m| {
-            MetadataValue::U64(m.stats().accesses)
-        }));
-        reg.define(stat(
-            "meta.propagations",
-            "total trigger-propagation rounds",
-            |m| MetadataValue::U64(m.stats().propagations),
-        ));
-        reg.define(stat(
-            "meta.propagation_depth",
-            "high-water BFS depth of recent propagation rounds",
-            |m| MetadataValue::U64(m.last_propagation_depth()),
-        ));
-        reg.define(stat(
-            "meta.epochs",
-            "epoch flushes performed in epoch propagation mode",
-            |m| MetadataValue::U64(m.epoch_count()),
-        ));
-        reg.define(stat(
-            "meta.coalesced_updates",
-            "source updates coalesced into an already-pending epoch",
-            |m| MetadataValue::U64(m.coalesced_update_count()),
-        ));
-        reg.define(stat(
-            "meta.deadline_misses",
-            "periodic refreshes that ran a full window late",
-            |m| MetadataValue::U64(m.deadline_miss_count()),
-        ));
-        reg.define(stat(
-            "meta.compute_failures",
-            "contained compute-function panics",
-            |m| MetadataValue::U64(m.stats().compute_failures),
-        ));
-        reg.define(stat(
-            "meta.deadline_overruns",
-            "evaluations that overran their declared compute deadline",
-            |m| MetadataValue::U64(m.deadline_overrun_count()),
-        ));
-        reg.define(stat(
-            "meta.retries",
-            "backoff retries scheduled after failed evaluations",
-            |m| MetadataValue::U64(m.retry_count()),
-        ));
-        reg.define(stat(
-            "meta.quarantined",
-            "currently quarantined metadata items",
-            |m| MetadataValue::U64(m.quarantined_count() as u64),
-        ));
-        reg.define(stat(
-            "meta.quarantine_trips",
-            "times the quarantine circuit breaker tripped",
-            |m| MetadataValue::U64(m.quarantine_trip_count()),
-        ));
-        reg.define(stat(
-            "meta.stale_serves",
-            "reads served a degraded (stale last-good) value",
-            |m| MetadataValue::U64(m.stale_serve_count()),
-        ));
-        // Eviction accounting is split by sink kind: `trace_dropped` is
-        // ring-buffer evictions only (records lost), `trace_rotated` is
-        // file-sink rotations (records retired to the rotated file, not
-        // lost). Conflating them made a healthy rotating file look like
-        // data loss.
-        reg.define(stat(
-            "meta.trace_dropped",
-            "records evicted from the catalog trace ring buffer",
-            |m| match m.catalog_trace() {
-                Some(sink) => MetadataValue::U64(sink.dropped()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.trace_rotated",
-            "size-limit rotations of the registered trace file sink",
-            |m| match m.file_trace() {
-                Some(sink) => MetadataValue::U64(sink.rotations()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.spans_dropped",
-            "finished spans evicted from the sys.spans ring",
-            |m| match m.catalog_spans() {
-                Some(store) => MetadataValue::U64(store.dropped()),
-                None => MetadataValue::Unavailable,
-            },
-        ));
-        reg.define(stat(
-            "meta.remote_subscriptions",
-            "live cross-partition proxy links homed on this partition",
-            |m| MetadataValue::U64(m.remote_subscription_count()),
-        ));
-        reg.define(stat(
-            "meta.remote_updates",
-            "cross-partition update messages applied to local proxies",
-            |m| MetadataValue::U64(m.remote_update_count()),
-        ));
-        reg.define(stat(
-            "meta.fast_reads",
-            "reads served through cached subscription handlers (no manager lock)",
-            |m| MetadataValue::U64(m.fast_read_count()),
-        ));
-        reg.define(stat(
-            "meta.shard_reads",
-            "key-based handler lookups served by the sharded index",
-            |m| MetadataValue::U64(m.shard_read_count()),
-        ));
-        let delta = WindowDelta::new(self.computes_counter().clone());
+            let read = move || weak.upgrade().and_then(|mgr| def.read(&mgr));
+            reg.define(
+                ItemDef::on_demand(def.item)
+                    .doc(def.doc)
+                    .compute(move |_| read().map_or(MetadataValue::Unavailable, MetadataValue::U64))
+                    .build(),
+            );
+        }
+        let weak = self.weak_self();
+        let last = Mutex::new(self.metric(Metric::Computes).unwrap_or_default());
         reg.define(
             ItemDef::periodic("meta.computes_rate", rate_window)
                 .doc("compute evaluations per time unit, per window")
-                .compute(
-                    move |ctx| match delta.rate_over(ctx.window().unwrap_or(TimeSpan::ZERO)) {
-                        Some(r) => MetadataValue::F64(r),
-                        None => MetadataValue::Unavailable,
-                    },
-                )
+                .compute(move |ctx| {
+                    let Some(mgr) = weak.upgrade() else {
+                        return MetadataValue::Unavailable;
+                    };
+                    // Consume the delta on every evaluation, so the first
+                    // real window starts clean after the windowless one.
+                    let now = mgr.metric(Metric::Computes).unwrap_or_default();
+                    let delta = now.saturating_sub(std::mem::replace(&mut *last.lock(), now));
+                    match ctx.window() {
+                        Some(w) if !w.is_zero() => MetadataValue::F64(delta as f64 / w.as_f64()),
+                        _ => MetadataValue::Unavailable,
+                    }
+                })
                 .build(),
         );
         self.attach_node(reg.clone());

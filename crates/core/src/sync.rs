@@ -34,9 +34,9 @@
 //! | 9    | `ItemState`    | `Handler::containment`, `periodic_task`      |
 //!
 //! Two orderings are non-obvious and load-bearing: `ItemCompute` ranks
-//! *below* `Bookkeeping` because meta-node compute closures call
-//! `MetadataManager::stats()` (which takes `inner`) while their compute
-//! lock is held, and `Observers` ranks *below* `ItemValue` because
+//! *below* `Bookkeeping` because meta-node compute closures read
+//! manager totals (which take `inner`) while their compute lock is
+//! held, and `Observers` ranks *below* `ItemValue` because
 //! `Handler::add_observer_with_snapshot` holds the observer list while
 //! the snapshot may fall back to a `value` read. `ItemCompute` is the
 //! only tier that may nest *distinct* instances of itself: nested

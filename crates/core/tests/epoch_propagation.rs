@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use streammeta_core::{
     EpochConfig, EventKey, FallbackPolicy, ItemDef, MetadataKey, MetadataManager, MetadataValue,
-    NodeId, NodeRegistry, PropagationMode, TraceEvent,
+    Metric, NodeId, NodeRegistry, PropagationMode, TraceEvent,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -72,7 +72,7 @@ fn coalescing_recomputes_each_dependent_once_per_epoch() {
     }
     assert_eq!(mgr.stats().computes, computes_before, "no sweep yet");
     assert_eq!(mgr.pending_update_count(), 1);
-    assert_eq!(mgr.coalesced_update_count(), 4);
+    assert_eq!(mgr.metric(Metric::CoalescedUpdates).unwrap(), 4);
 
     assert_eq!(mgr.flush_epoch(), 1, "one distinct origin swept");
     assert_eq!(
@@ -85,7 +85,7 @@ fn coalescing_recomputes_each_dependent_once_per_epoch() {
         notified_before + 1,
         "one observer notification per item per epoch"
     );
-    assert_eq!(mgr.epoch_count(), 1);
+    assert_eq!(mgr.metric(Metric::Epochs).unwrap(), 1);
     assert_eq!(mgr.pending_update_count(), 0);
     for sub in &subs {
         assert_eq!(sub.get().as_u64(), Some(5), "flush sees the latest state");
@@ -279,7 +279,7 @@ fn full_batch_flushes_synchronously() {
     // The third distinct origin fills the batch: the epoch flushes here,
     // and the three origins collapse into one recompute of the sink.
     mgr.fire_event(EventKey::new(node, "e2"));
-    assert_eq!(mgr.epoch_count(), 1);
+    assert_eq!(mgr.metric(Metric::Epochs).unwrap(), 1);
     assert_eq!(mgr.pending_update_count(), 0);
     assert_eq!(
         calls.load(Ordering::SeqCst),
@@ -325,5 +325,9 @@ fn leaving_epoch_mode_drains_the_partial_epoch() {
     state.store(10, Ordering::SeqCst);
     mgr.fire_event(EventKey::new(node, "tick"));
     assert_eq!(sub.get().as_u64(), Some(10));
-    assert_eq!(mgr.epoch_count(), 1, "per-event sweeps are not epochs");
+    assert_eq!(
+        mgr.metric(Metric::Epochs).unwrap(),
+        1,
+        "per-event sweeps are not epochs"
+    );
 }

@@ -7,10 +7,10 @@
 //! the manager, and a periodic worker pool fires the due updates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use streammeta_core::NodeId;
 
 use crate::probes::EngineProbes;
@@ -32,6 +32,22 @@ struct WorkItem {
 enum Work {
     Item(WorkItem),
     Shutdown,
+}
+
+/// The sending side of the work channel. `queued` counts the work in
+/// the channel: incremented before every send, decremented after every
+/// receive (it feeds the queue gauge and the drain check).
+#[derive(Clone)]
+struct WorkSender {
+    tx: Sender<Work>,
+    queued: Arc<AtomicU64>,
+}
+
+impl WorkSender {
+    fn send(&self, work: Work) {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        let _ = self.tx.send(work);
+    }
 }
 
 /// Counters of one threaded run.
@@ -73,7 +89,13 @@ pub fn run_threaded_with(
     let queue_gauge = probes.map(|p| p.queue_elements.clone());
     let busy_gauge = probes.map(|p| p.busy_workers.clone());
     let processed_counter = probes.map(|p| p.processed.clone());
-    let (tx, rx): (Sender<Work>, Receiver<Work>) = unbounded();
+    let (tx, rx) = mpsc::channel();
+    let tx = WorkSender {
+        tx,
+        queued: Arc::new(AtomicU64::new(0)),
+    };
+    // Workers take turns on the one receiver.
+    let rx = Arc::new(Mutex::new(rx));
     let processed = Arc::new(AtomicU64::new(0));
     let source_elements = Arc::new(AtomicU64::new(0));
     // Items taken off the channel but not yet fanned back into it. An
@@ -110,7 +132,7 @@ pub fn run_threaded_with(
                         source_elements.fetch_add(buf.len() as u64, Ordering::Relaxed);
                         for e in buf.drain(..) {
                             for (node, port) in graph.downstream(src) {
-                                let _ = tx.send(Work::Item(WorkItem {
+                                tx.send(Work::Item(WorkItem {
                                     node,
                                     port,
                                     element: e.clone(),
@@ -119,7 +141,7 @@ pub fn run_threaded_with(
                         }
                     }
                     if let Some(g) = &queue_gauge {
-                        g.set(tx.len() as f64);
+                        g.set(tx.queued.load(Ordering::SeqCst) as f64);
                     }
                     // Epoch propagation mode: the feeder is the time-slice
                     // driver — a pending epoch whose oldest update aged
@@ -134,7 +156,7 @@ pub fn run_threaded_with(
                 // once. (One sentinel per worker would livelock: each
                 // worker would see the others' sentinels still queued
                 // and never observe an empty channel.)
-                let _ = tx.send(Work::Shutdown);
+                tx.send(Work::Shutdown);
             });
         }
         // Workers: process items, fanning results back into the channel.
@@ -153,9 +175,15 @@ pub fn run_threaded_with(
                     .label_trace_thread(&format!("worker-{worker}"));
                 let mut out = Vec::new();
                 loop {
-                    match rx.recv() {
+                    // The guard is a temporary of this statement: the
+                    // receiver is released before the work is done.
+                    let work = rx.lock().expect("work receiver").recv();
+                    match work {
                         Ok(Work::Item(item)) => {
+                            // In flight before it leaves `queued`, so the
+                            // drain check always sees it in one of them.
                             in_flight.fetch_add(1, Ordering::SeqCst);
+                            tx.queued.fetch_sub(1, Ordering::SeqCst);
                             if let Some(g) = &busy_gauge {
                                 g.add(1.0);
                             }
@@ -173,7 +201,7 @@ pub fn run_threaded_with(
                             }
                             for e in out.drain(..) {
                                 for (node, port) in graph.downstream(item.node) {
-                                    let _ = tx.send(Work::Item(WorkItem {
+                                    tx.send(Work::Item(WorkItem {
                                         node,
                                         port,
                                         element: e.clone(),
@@ -190,18 +218,21 @@ pub fn run_threaded_with(
                             }
                         }
                         Ok(Work::Shutdown) => {
-                            if rx.is_empty() && in_flight.load(Ordering::SeqCst) == 0 {
+                            tx.queued.fetch_sub(1, Ordering::SeqCst);
+                            if tx.queued.load(Ordering::SeqCst) == 0
+                                && in_flight.load(Ordering::SeqCst) == 0
+                            {
                                 // Drained: relay the sentinel to wake the
                                 // next blocked worker, then exit. The last
                                 // relay is dropped with the channel.
-                                let _ = tx.send(Work::Shutdown);
+                                tx.send(Work::Shutdown);
                                 break;
                             }
                             // Not drained: a worker mid-`process` is about
                             // to fan elements back in, or items are still
                             // queued behind this sentinel. Recirculate it
                             // and keep draining.
-                            let _ = tx.send(Work::Shutdown);
+                            tx.send(Work::Shutdown);
                             std::thread::yield_now();
                         }
                         Err(_) => break, // all senders gone; nothing can arrive

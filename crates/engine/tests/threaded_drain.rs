@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use streammeta_core::{
-    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId,
+    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, Metric, NodeId,
     NodeRegistry, PropagationMode,
 };
 use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
@@ -99,7 +99,7 @@ fn shutdown_drains_a_partial_epoch() {
 
     assert_eq!(manager.pending_update_count(), 0, "drained at shutdown");
     assert_eq!(sub.get().as_u64(), Some(42));
-    assert_eq!(manager.epoch_count(), 1);
+    assert_eq!(manager.metric(Metric::Epochs).unwrap(), 1);
 }
 
 #[test]

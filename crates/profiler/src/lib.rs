@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use streammeta_core::{
-    MetadataKey, MetadataManager, MetadataValue, Result, Subscription, SystemRelation, TraceRecord,
-    META_NODE,
+    MetadataKey, MetadataManager, MetadataValue, Metric, MetricDef, MetricKind, Result,
+    Subscription, SystemRelation, TraceRecord, META_NODE, METRICS,
 };
 use streammeta_time::Timestamp;
 
@@ -83,15 +83,16 @@ impl Recorder {
     /// indices in the order listed above.
     pub fn track_containment(&mut self) -> Result<[usize; 5]> {
         let mut out = [0; 5];
-        for (slot, item) in out.iter_mut().zip([
-            "meta.retries",
-            "meta.quarantine_trips",
-            "meta.quarantined",
-            "meta.stale_serves",
-            "meta.deadline_overruns",
+        for (slot, metric) in out.iter_mut().zip([
+            Metric::Retries,
+            Metric::QuarantineTrips,
+            Metric::Quarantined,
+            Metric::StaleServes,
+            Metric::DeadlineOverruns,
         ]) {
-            let label = format!("meta_{}", &item["meta.".len()..]);
-            *slot = self.track(label, MetadataKey::new(META_NODE, item))?;
+            let def = metric.def();
+            let label = format!("meta_{}", def.name);
+            *slot = self.track(label, MetadataKey::new(META_NODE, def.item))?;
         }
         Ok(out)
     }
@@ -200,9 +201,9 @@ impl Recorder {
 
     /// The tracked items in Prometheus text exposition format: one gauge
     /// per series with `node`/`item` labels, read at call time (what a
-    /// scrape would see), followed by the manager-level failure-
-    /// containment counters (`streammeta_manager_*`). Non-numeric and
-    /// unavailable values are skipped.
+    /// scrape would see), followed by every [`METRICS`] row under
+    /// [`manager_metric_name`]. Non-numeric and unavailable values are
+    /// skipped.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for s in &self.series {
@@ -219,53 +220,19 @@ impl Recorder {
                 key.node, key.item
             );
         }
-        // Manager-level containment counters are always exported: a
-        // scrape must see them even when nothing subscribes to the
-        // META_NODE items (distinct `streammeta_manager_*` names keep
-        // them from colliding with tracked `streammeta_meta_*` series).
-        let stats = self.manager.stats();
-        let mut counter = |name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+        // Every manager metric is exported, whether or not anything
+        // subscribes to its META_NODE item (distinct `streammeta_manager_*`
+        // names keep them from colliding with tracked `streammeta_meta_*`
+        // series). Unavailable rows are skipped.
+        for def in &METRICS {
+            let Some(v) = def.read(&self.manager) else {
+                continue;
+            };
+            let name = manager_metric_name(def);
+            let _ = writeln!(out, "# HELP {name} {}", def.doc);
+            let _ = writeln!(out, "# TYPE {name} {}", def.kind.as_str());
             let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            "streammeta_manager_retries_total",
-            "backoff retries scheduled after failed metadata evaluations",
-            stats.retries,
-        );
-        counter(
-            "streammeta_manager_quarantine_trips_total",
-            "times the quarantine circuit breaker tripped",
-            stats.quarantine_trips,
-        );
-        counter(
-            "streammeta_manager_stale_serves_total",
-            "reads served a degraded (stale last-good) value",
-            stats.stale_serves,
-        );
-        counter(
-            "streammeta_manager_deadline_overruns_total",
-            "metadata computes that exceeded their declared deadline",
-            stats.deadline_overruns,
-        );
-        counter(
-            "streammeta_manager_epochs_total",
-            "epoch flushes performed in epoch propagation mode",
-            stats.epochs,
-        );
-        counter(
-            "streammeta_manager_coalesced_updates_total",
-            "source updates coalesced into an already-pending epoch",
-            stats.coalesced_updates,
-        );
-        let quarantined = self.manager.quarantined_count();
-        let _ = writeln!(
-            out,
-            "# HELP streammeta_manager_quarantined items currently quarantined"
-        );
-        let _ = writeln!(out, "# TYPE streammeta_manager_quarantined gauge");
-        let _ = writeln!(out, "streammeta_manager_quarantined {quarantined}");
+        }
         // Per-handler compute-latency quantiles as one Prometheus summary
         // family. Quantiles exist only while the manager's latency
         // profiling switch is on; handlers without observations are
@@ -358,6 +325,15 @@ pub fn render_relation(relation: SystemRelation, rows: &[Vec<MetadataValue>]) ->
         line(&mut row.iter().map(String::as_str));
     }
     out
+}
+
+/// The Prometheus name of a manager metric: `streammeta_manager_<name>`,
+/// with the conventional `_total` suffix for counters.
+pub fn manager_metric_name(def: &MetricDef) -> String {
+    match def.kind {
+        MetricKind::Counter => format!("streammeta_manager_{}_total", def.name),
+        MetricKind::Gauge => format!("streammeta_manager_{}", def.name),
+    }
 }
 
 /// Sanitizes a series label into a Prometheus metric name
@@ -671,6 +647,15 @@ mod tests {
             stats.quarantine_trips
         )));
         assert!(text.contains("streammeta_manager_quarantined 1"));
+    }
+
+    #[test]
+    fn observability_doc_lists_every_metric() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        for def in &METRICS {
+            let row = format!("| `{}` | `{}` |", def.item, manager_metric_name(def));
+            assert!(doc.contains(&row), "docs/OBSERVABILITY.md lacks {row}");
+        }
     }
 
     #[test]
