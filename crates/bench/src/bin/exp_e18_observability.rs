@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use streammeta_core::{MetadataKey, MetadataManager, META_NODE};
+use streammeta_core::{MetadataKey, MetadataManager, Metric, META_NODE};
 use streammeta_engine::{run_threaded_with, EngineProbes, ENGINE_NODE};
 use streammeta_graph::{FilterPredicate, MetadataConfig, QueryGraph};
 use streammeta_profiler::Recorder;
@@ -61,13 +61,17 @@ fn main() {
 
     let mut recorder = Recorder::new(manager.clone());
     for (label, node, item) in [
-        ("meta_handlers", META_NODE, "meta.handlers"),
+        ("meta_handlers", META_NODE, Metric::Handlers.def().item),
         ("meta_computes_rate", META_NODE, "meta.computes_rate"),
-        ("meta_deadline_misses", META_NODE, "meta.deadline_misses"),
+        (
+            "meta_deadline_misses",
+            META_NODE,
+            Metric::DeadlineMisses.def().item,
+        ),
         (
             "meta_propagation_depth",
             META_NODE,
-            "meta.propagation_depth",
+            Metric::PropagationDepth.def().item,
         ),
         ("queue_elements", ENGINE_NODE, "engine.queue_elements"),
         (

@@ -18,6 +18,8 @@
 //! min-noise estimator, since scheduler interference on a shared host
 //! only ever subtracts throughput. `E19_QUICK=1` shortens the runs to a
 //! CI smoke invocation.
+//!
+//! [`Subscription`]: streammeta_core::Subscription
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -7,7 +7,7 @@
 //! the E22 per-event propagation protocol: one hot source event with
 //! `F` triggered dependents (fan-out F in {16, 64, 256}) takes `N`
 //! rapid-fire updates, first with `SpanSampling::Off`, then with
-//! `Ratio(1)` and a live `sys.spans` store.
+//! `Ratio(1)` and a live catalog trace ring (the one `sys.spans` folds).
 //!
 //! Acceptance: with spans off, throughput stays within 3% of the E22
 //! per-event baseline (`$RESULTS_DIR/BENCH_e22.json`, regenerated on
@@ -206,11 +206,12 @@ fn main() {
     for &fanout in FANOUTS {
         // Spans off (the default): the gate is one relaxed atomic load
         // per source update. The sampled manager additionally retains
-        // span records in a live sys.spans ring — the worst case the
-        // sampling knob allows.
+        // every span-carrying trace record in a live catalog trace ring
+        // (what sys.spans folds) — the worst case the sampling knob
+        // allows.
         let (manager, state, _subs) = build(fanout);
         let (manager_on, state_on, _subs_on) = build(fanout);
-        manager_on.enable_catalog_spans(8192);
+        let ring = manager_on.enable_catalog_trace(8192);
         manager_on.set_span_sampling(SpanSampling::Ratio(1));
 
         // The E22 baseline was measured by a different binary in a
@@ -240,15 +241,17 @@ fn main() {
                 extra += 1;
             }
         }
-        let spans_stored = manager_on
-            .catalog_spans()
-            .map(|s| s.len() + s.dropped() as usize)
-            .unwrap_or(0);
-        // Ratio(1): one root span per update plus one hop per changed
-        // dependent reached the store (the ring may have evicted).
+        // Ratio(1): one source_update anchor per update plus the hops
+        // of every changed dependent reached the ring (which may have
+        // evicted), and each retained record belongs to a span.
+        let traced = ring.len() + ring.dropped() as usize;
         assert!(
-            spans_stored > updates,
-            "sampled run recorded {spans_stored} spans for {updates} updates"
+            traced > updates,
+            "sampled run traced {traced} records for {updates} updates"
+        );
+        assert!(
+            ring.snapshot().iter().all(|r| r.span.is_some()),
+            "the sampled ring retained a span-less record"
         );
 
         let overhead = |ups: f64| base.map(|b| (1.0 - ups / b) * 100.0);

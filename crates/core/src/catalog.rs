@@ -57,8 +57,10 @@ pub enum SystemRelation {
     /// `sys.trace`: a bounded tail of the trace bus as rows (requires
     /// [`MetadataManager::enable_catalog_trace`]).
     Trace,
-    /// `sys.spans`: finished causal lineage spans (requires
-    /// [`MetadataManager::enable_catalog_spans`] plus span sampling).
+    /// `sys.spans`: finished causal lineage spans, one row per span id
+    /// in the [`MetadataManager::enable_catalog_trace`] ring, closed by
+    /// the span's last record (see [`crate::trace::finished_spans`];
+    /// requires span sampling too).
     Spans,
     /// `sys.partitions`: one row per partition of the owning
     /// [`crate::PartitionedMetadataPlane`] — node/handler counts, link
@@ -202,11 +204,11 @@ const SPANS_COLUMNS: &[RelationColumn] = &[
     col("key", "item key the span's work concerns"),
     col(
         "kind",
-        "what the span covers (source_update, propagation_step, …)",
+        "kind of the span's closing event (source_update, propagation_step, …)",
     ),
     col("depth", "hop depth below the root"),
     col("start", "span start time"),
-    col("end", "span end time"),
+    col("end", "emission time of the span's last record"),
     col("duration", "end - start"),
 ];
 
@@ -432,31 +434,32 @@ impl MetadataManager {
                 }
                 rows
             }
-            SystemRelation::Spans => self
-                .catalog_spans()
-                .map(|store| {
-                    store
-                        .snapshot()
-                        .into_iter()
-                        .map(|s| {
-                            vec![
-                                MetadataValue::U64(s.span),
-                                MetadataValue::U64(s.parent.unwrap_or(0)),
-                                MetadataValue::U64(s.root),
-                                MetadataValue::U64(s.roots as u64),
-                                s.key.as_ref().map_or(MetadataValue::Unavailable, |k| {
-                                    MetadataValue::text(k.to_string())
-                                }),
-                                MetadataValue::text(s.kind),
-                                MetadataValue::U64(s.depth as u64),
-                                MetadataValue::Time(s.start),
-                                MetadataValue::Time(s.end),
-                                MetadataValue::Span(streammeta_time::TimeSpan(s.duration())),
-                            ]
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
+            SystemRelation::Spans => {
+                let records = self
+                    .catalog_trace()
+                    .map(|t| t.snapshot())
+                    .unwrap_or_default();
+                crate::trace::finished_spans(&records)
+                    .into_iter()
+                    .map(|r| {
+                        let s = r.span.as_ref().expect("finished spans carry a span");
+                        vec![
+                            MetadataValue::U64(s.span),
+                            MetadataValue::U64(s.parent.unwrap_or(0)),
+                            MetadataValue::U64(s.roots.first().copied().unwrap_or(s.span)),
+                            MetadataValue::U64(s.roots.len() as u64),
+                            r.event.key().map_or(MetadataValue::Unavailable, |k| {
+                                MetadataValue::text(k.to_string())
+                            }),
+                            MetadataValue::text(r.event.kind()),
+                            MetadataValue::U64(s.depth as u64),
+                            MetadataValue::Time(s.start),
+                            MetadataValue::Time(r.at),
+                            MetadataValue::Span(r.at.since(s.start)),
+                        ]
+                    })
+                    .collect()
+            }
             SystemRelation::Partitions | SystemRelation::RemoteSubscriptions => {
                 self.plane_rows(relation)
             }
@@ -580,18 +583,18 @@ mod tests {
 
     #[test]
     fn spans_relation_links_propagation_hops_to_their_root() {
-        let (_clock, manager) = setup();
+        let (clock, manager) = setup();
         assert!(manager.catalog_rows(SystemRelation::Spans).is_empty());
-        let store = manager.enable_catalog_spans(64);
+        let ring = manager.enable_catalog_trace(64);
         manager.set_span_sampling(crate::trace::SpanSampling::Ratio(1));
         let _cost = manager
             .subscribe(MetadataKey::new(NodeId(1), "cost"))
             .unwrap();
         manager.notify_changed(MetadataKey::new(NodeId(1), "rate"));
-        assert!(!store.snapshot().is_empty());
+        assert!(!ring.snapshot().is_empty());
         let rows = manager.catalog_rows(SystemRelation::Spans);
         let arity = SystemRelation::Spans.columns().len();
-        assert_eq!(rows.len(), store.len());
+        assert_eq!(rows.len(), span_ids(&ring.snapshot()).len());
         assert!(rows.iter().all(|r| r.len() == arity));
         let by_kind = |kind: &str| {
             rows.iter()
@@ -609,6 +612,43 @@ mod tests {
         assert_eq!(hop[3].as_u64(), Some(1));
         assert!(hop[4].as_text().unwrap().contains("cost"));
         assert_eq!(hop[6].as_u64(), Some(1));
+
+        // A wrapped ring over hops that store, notify and step (three
+        // records per span): each surviving span still yields one row,
+        // and the evictions are what meta.trace_dropped reports.
+        let reg = NodeRegistry::new(NodeId(2));
+        reg.define(
+            ItemDef::triggered("ticks")
+                .on_event("tick")
+                .compute(|ctx| MetadataValue::U64(ctx.now().units()))
+                .build(),
+        );
+        manager.attach_node(reg);
+        let _ticks = manager
+            .subscribe_with(MetadataKey::new(NodeId(2), "ticks"), |_| {})
+            .unwrap();
+        let small = manager.enable_catalog_trace(4);
+        for _ in 0..3 {
+            clock.advance(TimeSpan(1));
+            manager.fire_event(crate::EventKey::new(NodeId(2), "tick"));
+        }
+        assert!(small.dropped() > 0, "the ring wrapped");
+        let rows = manager.catalog_rows(SystemRelation::Spans);
+        let ids: Vec<u64> = rows.iter().map(|r| r[0].as_u64().unwrap()).collect();
+        assert_eq!(ids.len(), span_ids(&small.snapshot()).len());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "a span id repeats");
+        assert_eq!(
+            manager.metric(crate::Metric::TraceDropped),
+            Some(small.dropped())
+        );
+    }
+
+    /// The distinct span ids carried by `records`.
+    fn span_ids(records: &[crate::TraceRecord]) -> std::collections::BTreeSet<u64> {
+        records
+            .iter()
+            .filter_map(|r| r.span.as_ref().map(|s| s.span))
+            .collect()
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub use registry::{MetadataModule, NodeRegistry, RegistryScope};
 pub use subscription::Subscription;
 pub use sync::{lock_audit, LockEvent, LockTier};
 pub use trace::{
-    RingBufferSink, RotatingFileSink, SpanContext, SpanRecord, SpanSampling, SpanStore, TraceEvent,
+    finished_spans, RingBufferSink, RotatingFileSink, SpanContext, SpanSampling, TraceEvent,
     TraceRecord, TraceSink,
 };
 pub use value::{MetadataValue, VersionedValue};

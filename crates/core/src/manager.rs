@@ -48,9 +48,7 @@ use crate::registry::NodeRegistry;
 use crate::shards::HandlerShards;
 use crate::subscription::Subscription;
 use crate::sync::{LockTier, TieredMutex, TieredRwLock};
-use crate::trace::{
-    SpanContext, SpanRecord, SpanSampling, SpanStore, TraceEvent, TraceRecord, TraceSink,
-};
+use crate::trace::{SpanContext, SpanSampling, TraceEvent, TraceRecord, TraceSink};
 use crate::{
     EventKey, ItemPath, MetadataError, MetadataKey, MetadataValue, NodeId, Result, VersionedValue,
 };
@@ -237,9 +235,6 @@ pub struct MetadataManager {
     span_samples: AtomicU64,
     /// Span id mint (ids start at 1; 0 is never a valid span id).
     span_ids: AtomicU64,
-    /// Ring of finished spans backing `sys.spans`, installed by
-    /// [`Self::enable_catalog_spans`].
-    span_store: RwLock<Option<Arc<SpanStore>>>,
     /// Gates per-record thread-id stamping (off by default so traces
     /// stay byte-deterministic unless flame tracks are wanted).
     trace_tids: AtomicBool,
@@ -324,7 +319,6 @@ impl MetadataManager {
             span_ratio: AtomicU64::new(0),
             span_samples: AtomicU64::new(0),
             span_ids: AtomicU64::new(0),
-            span_store: RwLock::new(None),
             trace_tids: AtomicBool::new(false),
             tid_map: Mutex::new(HashMap::new()),
             tid_labels: Mutex::new(BTreeMap::new()),
@@ -367,9 +361,8 @@ impl MetadataManager {
 
     /// Emits one trace event carrying an optional causal span context.
     /// Same gating as [`Self::trace`]: one relaxed load when no sink is
-    /// installed, whether or not a span is present (finished spans reach
-    /// `sys.spans` through [`Self::record_span`], not through the trace
-    /// bus).
+    /// installed, whether or not a span is present. The trace bus is the
+    /// only record of spans; `sys.spans` folds the catalog trace ring.
     fn trace_span(&self, span: Option<&SpanContext>, event: impl FnOnce() -> TraceEvent) {
         if !self.trace_enabled.load(Ordering::Relaxed) {
             return;
@@ -400,32 +393,6 @@ impl MetadataManager {
         match self.trace_part.load(Ordering::Relaxed) {
             u64::MAX => None,
             p => Some(p),
-        }
-    }
-
-    /// Records one *finished* span into the `sys.spans` ring, if
-    /// installed — independently of the trace bus, so lineage queries
-    /// work without JSONL tracing. Exactly one record per span, written
-    /// at the span's completion site.
-    fn record_span(
-        &self,
-        ctx: &SpanContext,
-        key: Option<&MetadataKey>,
-        kind: &'static str,
-        end: Timestamp,
-    ) {
-        if let Some(store) = self.span_store.read().clone() {
-            store.record(SpanRecord {
-                span: ctx.span,
-                parent: ctx.parent,
-                root: ctx.roots.first().copied().unwrap_or(ctx.span),
-                roots: ctx.roots.len(),
-                key: key.cloned(),
-                kind,
-                depth: ctx.depth,
-                start: ctx.start,
-                end,
-            });
         }
     }
 
@@ -461,8 +428,8 @@ impl MetadataManager {
     /// Installs a bounded ring-buffer trace sink of `capacity` records
     /// and makes it the manager's trace sink. The returned (and
     /// internally remembered) buffer backs the `sys.trace` catalog
-    /// relation: its tail is what `catalog_rows(SystemRelation::Trace)`
-    /// materialises. Replaces any previously installed trace sink.
+    /// relation, and `sys.spans` folds its span-carrying records. Replaces
+    /// any previously installed trace sink.
     pub fn enable_catalog_trace(&self, capacity: usize) -> Arc<crate::trace::RingBufferSink> {
         let sink = crate::trace::RingBufferSink::new(capacity);
         *self.catalog_trace.write() = Some(sink.clone());
@@ -519,22 +486,6 @@ impl MetadataManager {
         } else {
             SpanSampling::Off
         }
-    }
-
-    /// Installs a bounded ring of `capacity` finished spans backing the
-    /// `sys.spans` catalog relation. Spans land there whenever sampling
-    /// mints them — with or without a trace sink installed. Replaces any
-    /// previously installed store; returns the new one.
-    pub fn enable_catalog_spans(&self, capacity: usize) -> Arc<SpanStore> {
-        let store = SpanStore::new(capacity);
-        *self.span_store.write() = Some(store.clone());
-        store
-    }
-
-    /// The span store installed by [`Self::enable_catalog_spans`], if
-    /// any.
-    pub fn catalog_spans(&self) -> Option<Arc<SpanStore>> {
-        self.span_store.read().clone()
     }
 
     /// Switches per-record thread-id stamping of trace records on or
@@ -878,9 +829,6 @@ impl MetadataManager {
         match result {
             Ok(handler) => {
                 self.run_inclusion_actions(&created, root.as_ref());
-                if let Some(root) = &root {
-                    self.record_span(root, Some(&key), "subscribe", self.clock.now());
-                }
                 Ok(Subscription::new(self.clone(), key, handler))
             }
             Err(e) => {
@@ -1018,9 +966,6 @@ impl MetadataManager {
         // Each inclusion hop spans flat under the subscribe root (the
         // DFS nesting is already carried by `depth`).
         let hop = root.map(|r| r.child(self.next_span_id(), self.clock.now()));
-        if let Some(hop) = &hop {
-            self.record_span(hop, Some(&key), "include", self.clock.now());
-        }
         self.trace_span(hop.as_ref(), || TraceEvent::Include {
             key: key.clone(),
             mechanism: handler.mechanism().label(),
@@ -1748,9 +1693,6 @@ impl MetadataManager {
             let _guard = handler.compute_lock.lock();
             self.refresh_handler(&handler, None, now, ctx.as_ref())
         };
-        if let Some(ctx) = &ctx {
-            self.record_span(ctx, Some(key), "retry", self.clock.now());
-        }
         if changed {
             self.bump(Metric::Updates);
             self.propagate_rooted(
@@ -1776,9 +1718,6 @@ impl MetadataManager {
             let _guard = handler.compute_lock.lock();
             self.refresh_handler(&handler, None, now, ctx.as_ref())
         };
-        if let Some(ctx) = &ctx {
-            self.record_span(ctx, Some(key), "probe", self.clock.now());
-        }
         if changed {
             self.bump(Metric::Updates);
             self.propagate_rooted(
@@ -1820,9 +1759,6 @@ impl MetadataManager {
         let missed = fired_at.since(boundary) >= window;
         if missed {
             self.bump(Metric::DeadlineMisses);
-        }
-        if let Some(root) = &root {
-            self.record_span(root, Some(key), "periodic_fired", fired_at);
         }
         self.trace_span(root.as_ref(), || TraceEvent::PeriodicFired {
             key: key.clone(),
@@ -2016,9 +1952,6 @@ impl MetadataManager {
         let seeds = (!roots.is_empty()).then_some(roots);
         let stats = self.sweep(&origins, Some(epoch), seeds);
         drop(serial);
-        if let Some(ctx) = &flush_span {
-            self.record_span(ctx, None, "epoch_flushed", self.clock.now());
-        }
         self.trace_span(flush_span.as_ref(), || TraceEvent::EpochFlushed {
             epoch,
             origins: swept,
@@ -2031,21 +1964,12 @@ impl MetadataManager {
     /// Recomputes all triggered items transitively reachable from `origin`
     /// over the inverted dependency graph — immediately in per-event mode,
     /// via the coalescing queue in epoch mode. Mints the root span of the
-    /// resulting cascade when sampling hits: in per-event mode the root
-    /// span covers the whole synchronous sweep; in epoch mode it covers
-    /// the enqueue (the flush's own span covers the deferred sweep).
+    /// resulting cascade when sampling hits; the root closes at its
+    /// `source_update` anchor and every hop of the sweep (or, in epoch
+    /// mode, of the flush) descends from it.
     fn propagate(&self, origin: DepSource, now: Timestamp) {
-        match self.mint_root(&origin, now) {
-            Some(root) => {
-                let key = match &origin {
-                    DepSource::Item(k) => Some(k.clone()),
-                    DepSource::Event(_) => None,
-                };
-                self.propagate_rooted(origin, now, Some(SpanLink::of(&root)));
-                self.record_span(&root, key.as_ref(), "source_update", self.clock.now());
-            }
-            None => self.propagate_rooted(origin, now, None),
-        }
+        let link = self.mint_root(&origin, now).map(|root| SpanLink::of(&root));
+        self.propagate_rooted(origin, now, link);
     }
 
     /// Like [`Self::propagate`], but with the cascade's lineage already
@@ -2199,14 +2123,6 @@ impl MetadataManager {
                 }
             }
             stats.max_depth = stats.max_depth.max(depth);
-            if let Some(ctx) = &ctx {
-                self.record_span(
-                    ctx,
-                    Some(&handler.key),
-                    "propagation_step",
-                    self.clock.now(),
-                );
-            }
             self.trace_span(ctx.as_ref(), || TraceEvent::PropagationStep {
                 round,
                 key: handler.key.clone(),

@@ -172,8 +172,6 @@ metrics! {
         "records evicted from the catalog trace ring buffer";
     TraceRotated trace_rotated: Counter, Derived(|m| m.file_trace().map(|t| t.rotations())),
         "size-limit rotations of the registered trace file sink";
-    SpansDropped spans_dropped: Counter, Derived(|m| m.catalog_spans().map(|s| s.dropped())),
-        "finished spans evicted from the sys.spans ring";
     RemoteSubscriptions remote_subscriptions: Gauge, Slot,
         "live cross-partition proxy links homed on this partition";
     RemoteUpdates remote_updates: Counter, Slot,

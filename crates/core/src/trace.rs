@@ -733,97 +733,19 @@ impl TraceSink for RotatingFileSink {
     }
 }
 
-/// One finished causal hop, as materialised by the `sys.spans` catalog
-/// relation (see [`SpanStore`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The hop's span id.
-    pub span: u64,
-    /// The causing hop's span id; `None` for roots.
-    pub parent: Option<u64>,
-    /// The first contributing root span id (the trace id).
-    pub root: u64,
-    /// Number of contributing roots (> 1 for coalesced epoch hops).
-    pub roots: usize,
-    /// The item the hop concerned, if any.
-    pub key: Option<MetadataKey>,
-    /// Kind of the trace event that closed the hop.
-    pub kind: &'static str,
-    /// Hop count below the root.
-    pub depth: u32,
-    /// When the hop started.
-    pub start: Timestamp,
-    /// When the hop's event was emitted.
-    pub end: Timestamp,
-}
-
-impl SpanRecord {
-    /// The hop's duration in clock units.
-    pub fn duration(&self) -> u64 {
-        self.end.units().saturating_sub(self.start.units())
-    }
-}
-
-/// A bounded ring of finished spans backing the `sys.spans` catalog
-/// relation, installed by
-/// [`crate::MetadataManager::enable_catalog_spans`]. Independent of the
-/// trace sink: spans are recorded here whenever sampling mints them,
-/// even with no trace sink installed.
-pub struct SpanStore {
-    capacity: usize,
-    buf: Mutex<VecDeque<SpanRecord>>,
-    dropped: AtomicU64,
-}
-
-impl SpanStore {
-    /// A span ring holding at most `capacity` records (at least 1).
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(SpanStore {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
-            dropped: AtomicU64::new(0),
-        })
-    }
-
-    /// Maximum retained spans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Spans evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Appends one finished span, evicting the oldest when full.
-    pub fn record(&self, record: SpanRecord) {
-        let mut buf = self.buf.lock();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+/// Folds a trace into its finished spans: one record per span id, the
+/// last record carrying that id (a hop can emit several — stored, then
+/// notified — and the last one marks its completion), ordered by span
+/// id. Every span view (`sys.spans`, the Chrome exporter) closes its
+/// spans with this one rule.
+pub fn finished_spans(records: &[TraceRecord]) -> Vec<&TraceRecord> {
+    let mut last = std::collections::BTreeMap::new();
+    for r in records {
+        if let Some(ctx) = &r.span {
+            last.insert(ctx.span, r);
         }
-        buf.push_back(record);
     }
-
-    /// Retained spans, oldest first.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.buf.lock().iter().cloned().collect()
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.buf.lock().len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
-    }
-
-    /// Discards all retained spans (the drop counter is kept).
-    pub fn clear(&self) {
-        self.buf.lock().clear();
-    }
+    last.into_values().collect()
 }
 
 #[cfg(test)]
@@ -1036,31 +958,6 @@ mod tests {
         assert!(json.contains("\"origin_kind\":\"event\""));
         assert!(json.contains("\"span\":4"));
         assert!(!json.contains("\"parent\""), "roots carry no parent");
-    }
-
-    #[test]
-    fn span_store_evicts_oldest_and_counts_drops() {
-        let store = SpanStore::new(2);
-        for i in 0..4u64 {
-            store.record(SpanRecord {
-                span: i + 1,
-                parent: None,
-                root: i + 1,
-                roots: 1,
-                key: None,
-                kind: "source_update",
-                depth: 0,
-                start: Timestamp(i),
-                end: Timestamp(i + 3),
-            });
-        }
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.dropped(), 2);
-        let snap = store.snapshot();
-        assert_eq!(snap[0].span, 3);
-        assert_eq!(snap[0].duration(), 3);
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn lineage_queries_range_over_sys_spans() {
             .build(),
     );
     manager.attach_node(reg);
-    manager.enable_catalog_spans(128);
+    manager.enable_catalog_trace(128);
     manager.set_span_sampling(streammeta_core::SpanSampling::Ratio(1));
     let _dep = manager
         .subscribe(MetadataKey::new(NodeId(1), "dep"))

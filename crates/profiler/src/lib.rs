@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use streammeta_core::{
-    MetadataKey, MetadataManager, MetadataValue, Metric, MetricDef, MetricKind, Result,
-    Subscription, SystemRelation, TraceRecord, META_NODE, METRICS,
+    finished_spans, MetadataKey, MetadataManager, MetadataValue, Metric, MetricDef, MetricKind,
+    Result, Subscription, SystemRelation, TraceRecord, META_NODE, METRICS,
 };
 use streammeta_time::Timestamp;
 
@@ -352,9 +352,10 @@ fn prometheus_name(label: &str) -> String {
 
 /// Renders span-carrying trace records as a Chrome `trace_event` JSON
 /// document (load it at `chrome://tracing` or in Perfetto): one complete
-/// ("X") slice per span, placed on the flame track of the thread that
-/// finished it, nested under its parent by time containment. `threads`
-/// maps compact trace thread ids (see
+/// ("X") slice per span, closed by its last record (see
+/// [`finished_spans`]) and placed on the flame track of the thread that
+/// emitted that record, nested under its parent by time containment.
+/// `threads` maps compact trace thread ids (see
 /// [`streammeta_core::MetadataManager::trace_thread_labels`]) to track
 /// names; unlabelled or untagged records land on track 0. Timestamps are
 /// the clock's native units passed through as Chrome microseconds.
@@ -362,16 +363,6 @@ pub fn render_chrome_trace(
     records: &[TraceRecord],
     threads: &std::collections::BTreeMap<u64, String>,
 ) -> String {
-    // A span can appear on several records (stored, then notified); the
-    // last one carries the hop's completion time, so later records win
-    // and each span renders exactly one slice.
-    let mut slices: std::collections::BTreeMap<u64, &TraceRecord> =
-        std::collections::BTreeMap::new();
-    for r in records {
-        if let Some(ctx) = &r.span {
-            slices.insert(ctx.span, r);
-        }
-    }
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -389,8 +380,8 @@ pub fn render_chrome_trace(
             escape(name)
         );
     }
-    for r in slices.values() {
-        let ctx = r.span.as_ref().expect("slices hold span records only");
+    for r in finished_spans(records) {
+        let ctx = r.span.as_ref().expect("finished spans carry a span");
         sep(&mut out, &mut first);
         let name = match r.event.key() {
             Some(key) => format!("{} {key}", r.event.kind()),
@@ -656,6 +647,14 @@ mod tests {
             let row = format!("| `{}` | `{}` |", def.item, manager_metric_name(def));
             assert!(doc.contains(&row), "docs/OBSERVABILITY.md lacks {row}");
         }
+        // And back: every documented `meta.*` row names a live metric.
+        for item in doc.lines().filter_map(|l| l.strip_prefix("| `meta.")) {
+            let item = format!("meta.{}", &item[..item.find('`').unwrap_or(0)]);
+            assert!(
+                METRICS.iter().any(|def| def.item == item),
+                "docs/OBSERVABILITY.md documents stale {item}"
+            );
+        }
     }
 
     #[test]
@@ -757,6 +756,122 @@ mod tests {
             .filter_map(|r| r.span.as_ref().map(|s| s.span))
             .collect();
         assert_eq!(slices, spans.len());
+    }
+
+    /// The unsigned integer after the first `"name":` in `text`.
+    fn json_u64(text: &str, name: &str) -> u64 {
+        let rest = &text[text.find(&format!("\"{name}\":")).expect(name) + name.len() + 3..];
+        let end = rest.find(|c: char| !c.is_ascii_digit());
+        rest[..end.unwrap_or(rest.len())].parse().unwrap()
+    }
+
+    #[test]
+    fn sys_spans_and_chrome_slices_agree_on_every_span() {
+        use std::collections::BTreeMap;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use streammeta_core::{EpochConfig, EventKey, FallbackPolicy, PropagationMode};
+        use streammeta_core::{SpanSampling, SystemRelation};
+        use streammeta_time::Clock;
+        let (clock, mgr) = setup();
+        let reg = NodeRegistry::new(NodeId(1));
+        // A `ticks` recompute takes two time units, so its hops have extent.
+        let c = clock.clone();
+        reg.define(
+            ItemDef::triggered("ticks")
+                .on_event("tick")
+                .compute(move |ctx| {
+                    c.advance(TimeSpan(2));
+                    MetadataValue::U64(ctx.now().units())
+                })
+                .build(),
+        );
+        reg.define(
+            ItemDef::periodic("rate", TimeSpan(10))
+                .compute(|ctx| MetadataValue::U64(ctx.now().units()))
+                .build(),
+        );
+        // `flaky` fails while `broken` is set; its policy retries 10 later.
+        let broken = Arc::new(AtomicBool::new(false));
+        let b = broken.clone();
+        reg.define(
+            ItemDef::triggered("flaky")
+                .on_event("poke")
+                .fallback(FallbackPolicy::conservative())
+                .compute(move |ctx| match b.load(Ordering::SeqCst) {
+                    false => MetadataValue::U64(ctx.now().units()),
+                    true => MetadataValue::Unavailable,
+                })
+                .build(),
+        );
+        mgr.attach_node(reg);
+        let ring = mgr.enable_catalog_trace(1024);
+        mgr.set_span_sampling(SpanSampling::Ratio(1));
+        let key = |item| MetadataKey::new(NodeId(1), item);
+        let fire = |event| mgr.fire_event(EventKey::new(NodeId(1), event));
+        // Sampled subscribes; the observer makes `ticks` hops notify too.
+        let _ticks = mgr.subscribe_with(key("ticks"), |_| {}).unwrap();
+        let _rate = mgr.subscribe(key("rate")).unwrap();
+        let _flaky = mgr.subscribe(key("flaky")).unwrap();
+        fire("tick"); // a per-event sweep
+        broken.store(true, Ordering::SeqCst);
+        fire("poke"); // fails, then retries past the periodic boundary
+        broken.store(false, Ordering::SeqCst);
+        clock.advance(TimeSpan(10));
+        mgr.periodic().advance_to(clock.now());
+        mgr.set_propagation_mode(PropagationMode::Epoch(EpochConfig {
+            max_batch: usize::MAX,
+            max_delay: TimeSpan(u64::MAX),
+        }));
+        fire("tick");
+        fire("tick");
+        mgr.flush_epoch();
+
+        let records = ring.snapshot();
+        let rows = mgr.catalog_rows(SystemRelation::Spans);
+        assert_eq!((ring.len(), ring.dropped()), (records.len(), 0));
+        let has = |kind: &str, item: &str| {
+            rows.iter().any(|r| {
+                r[5].as_text() == Some(kind) && r[4].as_text().unwrap_or("").ends_with(item)
+            })
+        };
+        for kind in ["subscribe", "include", "source_update", "epoch_flushed"] {
+            assert!(has(kind, ""), "no {kind} span");
+        }
+        assert!(has("periodic_fired", "rate"));
+        // The sweep hop stored, notified, then stepped: it closes last.
+        assert!(has("propagation_step", "ticks"));
+        // The failing sweep hop's retry (depth 2) closes at its store.
+        assert!(rows
+            .iter()
+            .any(|r| { r[5].as_text() == Some("value_stored") && r[6].as_u64() == Some(2) }));
+
+        let time = |v: &MetadataValue| match v {
+            MetadataValue::Time(t) => t.units(),
+            other => panic!("not a time: {other:?}"),
+        };
+        let catalog: BTreeMap<u64, (u64, u64, u64)> = rows
+            .iter()
+            .map(|r| {
+                let hop = (
+                    r[1].as_u64().unwrap(),
+                    time(&r[7]),
+                    r[9].as_span().unwrap().0,
+                );
+                (r[0].as_u64().unwrap(), hop)
+            })
+            .collect();
+        assert_eq!(catalog.len(), rows.len(), "a span id repeats in sys.spans");
+        assert!(catalog.values().any(|&(_, _, duration)| duration > 0));
+        let json = render_chrome_trace(&records, &BTreeMap::new());
+        let chrome: BTreeMap<u64, (u64, u64, u64)> = json
+            .split("\"ph\":\"X\"")
+            .skip(1)
+            .map(|x| {
+                let hop = (json_u64(x, "parent"), json_u64(x, "ts"), json_u64(x, "dur"));
+                (json_u64(x, "span"), hop)
+            })
+            .collect();
+        assert_eq!(catalog, chrome);
     }
 
     #[test]

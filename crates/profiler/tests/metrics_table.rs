@@ -127,19 +127,17 @@ fn assert_between(def: &MetricDef, before: Option<u64>, seen: Option<u64>, after
 #[test]
 fn every_metric_reads_the_same_through_every_exposure() {
     let (mgr, _subs) = exercised_partition();
-    // Every row but these moved (the last two have no sink installed).
+    // Every row but these moved (the last has no sink installed).
     let idle = [
         Metric::DeadlineMisses,
         Metric::DeadlineOverruns,
         Metric::StaleServes,
         Metric::TraceRotated,
-        Metric::SpansDropped,
     ];
     for def in METRICS.iter().filter(|def| !idle.contains(&def.metric)) {
         assert!(def.read(&mgr) > Some(0), "workload moves {}", def.name);
     }
     assert_eq!(mgr.metric(Metric::TraceRotated), None, "no file sink");
-    assert_eq!(mgr.metric(Metric::SpansDropped), None, "no span store");
 
     let meta = mgr.registry(META_NODE).unwrap();
     let rec = Recorder::new(mgr.clone());
