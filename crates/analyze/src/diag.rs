@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use streammeta_core::MetadataKey;
+use streammeta_core::{JsonStr, MetadataKey};
 
 /// How severe a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -157,36 +157,19 @@ impl Diagnostic {
         let related: Vec<String> = self
             .related
             .iter()
-            .map(|k| format!("\"{}\"", json_escape(&k.to_string())))
+            .map(|k| JsonStr(&k.to_string()).to_string())
             .collect();
         format!(
-            "{{\"code\":\"{}\",\"rule\":\"{}\",\"severity\":\"{}\",\"key\":\"{}\",\"message\":\"{}\",\"hint\":\"{}\",\"related\":[{}]}}",
+            "{{\"code\":\"{}\",\"rule\":\"{}\",\"severity\":\"{}\",\"key\":{},\"message\":{},\"hint\":{},\"related\":[{}]}}",
             self.code.code(),
             self.code.name(),
             self.severity,
-            json_escape(&self.key.to_string()),
-            json_escape(&self.message),
-            json_escape(&self.hint),
+            JsonStr(&self.key.to_string()),
+            JsonStr(&self.message),
+            JsonStr(&self.hint),
             related.join(",")
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -225,7 +208,9 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut d = diag();
+        d.message = "a\"b\\c\nd".into();
+        assert!(d.render_json().contains(r#""message":"a\"b\\c\nd""#));
     }
 
     #[test]

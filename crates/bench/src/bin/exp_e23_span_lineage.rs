@@ -31,8 +31,9 @@ use std::time::Instant;
 
 use streammeta_analyze::tracelint;
 use streammeta_core::{
-    EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue, NodeId,
-    NodeRegistry, PropagationMode, RotatingFileSink, SpanSampling, Subscription, TraceEvent,
+    parse_jsonl, EpochConfig, EventKey, ItemDef, MetadataKey, MetadataManager, MetadataValue,
+    NodeId, NodeRegistry, PropagationMode, RotatingFileSink, SpanSampling, Subscription,
+    TraceEvent,
 };
 use streammeta_time::{TimeSpan, VirtualClock};
 
@@ -134,7 +135,7 @@ fn lineage_phase(out_dir: &str) -> (u64, u64) {
     manager.set_trace_sink(None);
     let _ = file.flush();
     let jsonl = file.read_retained().expect("read back the written trace");
-    let records = tracelint::parse_jsonl(&jsonl).expect("parse the lineage trace");
+    let records = parse_jsonl(&jsonl).expect("parse the lineage trace");
     let violations = tracelint::lint(&records);
     assert!(
         violations.is_empty(),

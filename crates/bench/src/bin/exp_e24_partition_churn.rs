@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use streammeta_analyze::tracelint;
 use streammeta_core::{
-    EventKey, ItemDef, MetadataKey, MetadataValue, NodeId, NodeRegistry, PartitionedMetadataPlane,
-    RingBufferSink, SpanSampling, Subscription,
+    to_jsonl, EventKey, ItemDef, MetadataKey, MetadataValue, NodeId, NodeRegistry,
+    PartitionedMetadataPlane, RingBufferSink, SpanSampling, Subscription,
 };
 use streammeta_time::{Clock, TimeSpan, VirtualClock};
 
@@ -232,10 +232,7 @@ fn traced_phase(out_dir: &str) -> (usize, usize) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    let jsonl: String = merged
-        .iter()
-        .map(|r| format!("{}\n", r.to_json()))
-        .collect();
+    let jsonl = to_jsonl(&merged);
     let path = format!("{out_dir}/e24_trace.jsonl");
     if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, &jsonl)) {
         println!("could not write {path} ({e})");

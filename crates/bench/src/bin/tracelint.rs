@@ -28,24 +28,20 @@ use std::process::ExitCode;
 
 use streammeta_analyze::tracelint::{lint_jsonl, TraceRule, TraceViolation};
 use streammeta_bench::trace_fixtures::{self, TraceFixture};
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+use streammeta_core::JsonStr;
 
 fn render_violations(label: &str, violations: &[TraceViolation], json: bool) {
     if json {
         for v in violations {
             println!(
-                "{{\"trace\":\"{}\",\"rule\":\"{}\",\"seq\":{},\"key\":{},\"message\":\"{}\"}}",
-                json_escape(label),
+                "{{\"trace\":{},\"rule\":\"{}\",\"seq\":{},\"key\":{},\"message\":{}}}",
+                JsonStr(label),
                 v.rule.code(),
                 v.seq,
                 v.key
-                    .as_ref()
-                    .map(|k| format!("\"{}\"", json_escape(k)))
-                    .unwrap_or_else(|| "null".to_string()),
-                json_escape(&v.message)
+                    .as_deref()
+                    .map_or_else(|| "null".to_string(), |k| JsonStr(k).to_string()),
+                JsonStr(&v.message)
             );
         }
     } else {
@@ -61,8 +57,8 @@ fn lint_one(label: &str, jsonl: &str, json: bool) -> bool {
     let ok = violations.is_empty();
     if json {
         println!(
-            "{{\"trace\":\"{}\",\"ok\":{ok},\"violations\":{}}}",
-            json_escape(label),
+            "{{\"trace\":{},\"ok\":{ok},\"violations\":{}}}",
+            JsonStr(label),
             violations.len()
         );
     } else {

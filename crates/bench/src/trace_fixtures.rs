@@ -51,12 +51,7 @@ fn capture(manager: &MetadataManager, work: impl FnOnce()) -> String {
     work();
     manager.set_trace_sink(None);
     assert_eq!(sink.dropped(), 0, "fixture trace overflowed the ring");
-    let mut out = String::new();
-    for rec in sink.snapshot() {
-        out.push_str(&rec.to_json());
-        out.push('\n');
-    }
-    out
+    sink.to_jsonl()
 }
 
 /// TR1: a triggered chain under per-event propagation — every source

@@ -7,8 +7,9 @@
 //! fixtures are regenerated (`cargo run -p streammeta-bench --bin
 //! tracelint -- --write-fixtures`) and the diff is reviewed.
 
-use streammeta_analyze::tracelint::{lint, parse_jsonl};
+use streammeta_analyze::tracelint::lint;
 use streammeta_bench::trace_fixtures;
+use streammeta_core::parse_jsonl;
 
 #[test]
 fn checked_in_traces_match_their_generators_and_lint_clean() {

@@ -4,9 +4,9 @@
 //! that the linter would actually catch a runtime regression of the
 //! corresponding semantics, not just pass clean traces.
 
-use streammeta_analyze::tracelint::{lint, parse_jsonl, TraceRule};
+use streammeta_analyze::tracelint::{lint, TraceRule};
 use streammeta_bench::trace_fixtures;
-use streammeta_core::{TraceEvent, TraceRecord};
+use streammeta_core::{parse_jsonl, TraceEvent, TraceRecord};
 
 /// Loads the checked-in records of one fixture.
 fn records_of(id: &str) -> Vec<TraceRecord> {

@@ -313,26 +313,17 @@ impl MetadataManager {
                     let mut live: Vec<(String, &'static str, Arc<str>)> = h
                         .resolved_deps
                         .iter()
-                        .map(|d| {
-                            let (src, kind) = match &d.source {
-                                crate::DepSource::Item(k) => (k.to_string(), "item"),
-                                crate::DepSource::Event(e) => (e.to_string(), "event"),
-                            };
-                            (src, kind, d.role.clone())
-                        })
+                        .map(|d| (d.source.to_string(), d.source.kind(), d.role.clone()))
                         .collect();
                     // Then the analysis-time alternatives a dynamic
                     // resolver did *not* pick for this inclusion.
                     for (dep, _certain) in h.def.analysis_deps(h.key.node) {
                         let source = dep.target.resolve(h.key.node);
-                        let (src, kind) = match &source {
-                            crate::DepSource::Item(k) => (k.to_string(), "item"),
-                            crate::DepSource::Event(e) => (e.to_string(), "event"),
-                        };
+                        let src = source.to_string();
                         if !live.iter().any(|(s, _, r)| *s == src && *r == dep.role) {
                             rows.push(vec![
                                 MetadataValue::text(&src),
-                                MetadataValue::text(kind),
+                                MetadataValue::text(source.kind()),
                                 dependent.clone(),
                                 MetadataValue::text(&*dep.role),
                                 MetadataValue::Bool(false),

@@ -40,14 +40,17 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
-    /// Short label used in taxonomy listings.
+    /// Every [`Self::label`], in declaration order.
+    pub const LABELS: [&'static str; 4] = ["static", "on-demand", "periodic", "triggered"];
+
+    /// Short label used in taxonomy listings and `include` trace events.
     pub fn label(&self) -> &'static str {
-        match self {
-            Mechanism::Static => "static",
-            Mechanism::OnDemand => "on-demand",
-            Mechanism::Periodic { .. } => "periodic",
-            Mechanism::Triggered => "triggered",
-        }
+        Self::LABELS[match self {
+            Mechanism::Static => 0,
+            Mechanism::OnDemand => 1,
+            Mechanism::Periodic { .. } => 2,
+            Mechanism::Triggered => 3,
+        }]
     }
 
     /// Whether the item is dynamic metadata (changes at runtime).
@@ -131,6 +134,29 @@ pub enum DepSource {
     Item(MetadataKey),
     /// A manual event notification.
     Event(EventKey),
+}
+
+impl DepSource {
+    /// Every [`Self::kind`], in declaration order.
+    pub const KINDS: [&'static str; 2] = ["item", "event"];
+
+    /// `"item"` or `"event"`, as `sys.dependencies` rows and
+    /// `source_update` trace events name the source's kind.
+    pub fn kind(&self) -> &'static str {
+        Self::KINDS[match self {
+            DepSource::Item(_) => 0,
+            DepSource::Event(_) => 1,
+        }]
+    }
+}
+
+impl std::fmt::Display for DepSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DepSource::Item(k) => k.fmt(f),
+            DepSource::Event(e) => e.fmt(f),
+        }
+    }
 }
 
 /// One declared dependency: a role name (how the compute function refers

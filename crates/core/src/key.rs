@@ -122,6 +122,26 @@ impl fmt::Display for MetadataKey {
     }
 }
 
+/// Parses the display form `n<node>/<path>`; the path is everything
+/// after the first `/`, so nested paths containing `/` round-trip.
+impl std::str::FromStr for MetadataKey {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (node, path) = s
+            .strip_prefix('n')
+            .and_then(|rest| rest.split_once('/'))
+            .ok_or_else(|| format!("key `{s}` is not of the form n<node>/<path>"))?;
+        let node = node
+            .parse()
+            .map_err(|_| format!("key `{s}` has a non-numeric node id"))?;
+        if path.is_empty() {
+            return Err(format!("key `{s}` has an empty path"));
+        }
+        Ok(MetadataKey::new(NodeId(node), path))
+    }
+}
+
 /// Identifier of a manually fired event notification (Section 3.2.3):
 /// a named event at a node, e.g. `window_size_changed`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -187,6 +207,15 @@ mod tests {
         assert_eq!(k.to_string(), "n3/input_rate");
         let e = EventKey::new(NodeId(3), "window_size_changed");
         assert_eq!(e.to_string(), "n3!window_size_changed");
+    }
+
+    #[test]
+    fn key_parses_its_display_form() {
+        let k = MetadataKey::new(NodeId(42), "state.left/memory");
+        assert_eq!(k.to_string().parse::<MetadataKey>(), Ok(k));
+        for bad in ["1/a", "n1", "nx/a", "n1/"] {
+            assert!(bad.parse::<MetadataKey>().is_err(), "{bad}");
+        }
     }
 
     #[test]

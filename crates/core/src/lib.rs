@@ -108,7 +108,7 @@ pub use registry::{MetadataModule, NodeRegistry, RegistryScope};
 pub use subscription::Subscription;
 pub use sync::{lock_audit, LockEvent, LockTier};
 pub use trace::{
-    finished_spans, RingBufferSink, RotatingFileSink, SpanContext, SpanSampling, TraceEvent,
-    TraceRecord, TraceSink,
+    finished_spans, parse_jsonl, to_jsonl, JsonStr, RingBufferSink, RotatingFileSink, SpanContext,
+    SpanSampling, TraceEvent, TraceRecord, TraceSink,
 };
 pub use value::{MetadataValue, VersionedValue};

@@ -367,8 +367,7 @@ impl MetadataManager {
         if !self.trace_enabled.load(Ordering::Relaxed) {
             return;
         }
-        let sink = self.trace_sink.read().clone();
-        if let Some(sink) = sink {
+        if let Some(sink) = &*self.trace_sink.read() {
             sink.record(TraceRecord {
                 seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
                 at: self.clock.now(),
@@ -542,13 +541,9 @@ impl MetadataManager {
             return None;
         }
         let ctx = SpanContext::root(self.next_span_id(), now);
-        let (origin_str, origin_kind) = match origin {
-            DepSource::Item(k) => (format!("{k}"), "item"),
-            DepSource::Event(e) => (format!("{e}"), "event"),
-        };
         self.trace_span(Some(&ctx), || TraceEvent::SourceUpdate {
-            origin: origin_str,
-            origin_kind,
+            origin: origin.to_string(),
+            origin_kind: origin.kind(),
         });
         Some(ctx)
     }

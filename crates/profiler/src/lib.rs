@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use streammeta_core::{
-    finished_spans, MetadataKey, MetadataManager, MetadataValue, Metric, MetricDef, MetricKind,
-    Result, Subscription, SystemRelation, TraceRecord, META_NODE, METRICS,
+    finished_spans, JsonStr, MetadataKey, MetadataManager, MetadataValue, Metric, MetricDef,
+    MetricKind, Result, Subscription, SystemRelation, TraceRecord, META_NODE, METRICS,
 };
 use streammeta_time::Timestamp;
 
@@ -363,7 +363,6 @@ pub fn render_chrome_trace(
     records: &[TraceRecord],
     threads: &std::collections::BTreeMap<u64, String>,
 ) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     let sep = |out: &mut String, first: &mut bool| {
@@ -376,8 +375,8 @@ pub fn render_chrome_trace(
         sep(&mut out, &mut first);
         let _ = write!(
             out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            JsonStr(name)
         );
     }
     for r in finished_spans(records) {
@@ -390,9 +389,9 @@ pub fn render_chrome_trace(
         let roots: Vec<String> = ctx.roots.iter().map(u64::to_string).collect();
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
              \"args\":{{\"span\":{},\"parent\":{},\"roots\":\"{}\",\"depth\":{}}}}}",
-            escape(&name),
+            JsonStr(&name),
             r.tid.unwrap_or(0),
             ctx.start.units(),
             r.at.units().saturating_sub(ctx.start.units()),
@@ -739,8 +738,12 @@ mod tests {
         let _sub = mgr.subscribe(MetadataKey::new(NodeId(1), "cost")).unwrap();
         clock.advance(TimeSpan(3));
         mgr.notify_changed(MetadataKey::new(NodeId(1), "size"));
-        let labels = mgr.trace_thread_labels();
+        let mut labels = mgr.trace_thread_labels();
+        // A label with control characters still yields valid JSON.
+        labels.insert(7, "w\n\t1".to_string());
         let json = render_chrome_trace(&sink.snapshot(), &labels);
+        assert!(json.contains(r#""name":"w\n\t1""#));
+        assert!(json.bytes().all(|b| b >= 0x20), "raw control byte");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"M\""));
